@@ -8,11 +8,10 @@
 # present, root span covers child spans), and a serve smoke run: boot
 # `repro serve`, health-check it over HTTP, verify a cached solve
 # round-trip (second POST must be served from cache, byte-identical),
-# then shut it down cleanly via SIGTERM.  Compute backends: tier-1 is
-# pinned to the numpy reference backend; the cross-backend equivalence
-# suite re-runs on numba when that accelerator is importable, and the
-# backends smoke bench asserts cold solves are byte-identical across
-# whatever backends load on this machine.
+# then shut it down cleanly via SIGTERM.  The extraction chunk-size
+# sweep runs in smoke mode and must find byte-identical candidate sets
+# at every chunk size.  (numpy == pyloop kernel byte-identity is part of
+# tier-1: tests/backend.)
 #
 # Static gates run first (fail fast, cheapest signals): the project
 # analyzer (docs/static-analysis.md) over src/repro — run twice, with the
@@ -52,16 +51,7 @@ python -m repro.analysis benchmarks examples --select DET
 
 sh scripts/typecheck.sh
 
-# Tier-1 runs pinned to the numpy reference backend so the gate is
-# deterministic regardless of which accelerators this machine has; the
-# backend-equivalence suite is then repeated on the compiled backend when
-# numba is importable (skipped silently otherwise).
-REPRO_BACKEND=numpy python -m pytest -x -q
-
-if python -c "import numba" 2>/dev/null; then
-    echo "numba importable: repeating backend equivalence on the compiled backend"
-    REPRO_BACKEND=numba python -m pytest tests/backend -x -q
-fi
+python -m pytest -x -q
 
 SMOKE_OUT="${TMPDIR:-/tmp}/bench_extraction_smoke.json"
 python benchmarks/bench_extraction_scaling.py --smoke --out "$SMOKE_OUT"
@@ -84,16 +74,16 @@ assert doc['warm']['cache']['hits'] >= doc['sweep']['points'], doc['warm']
 print('cache-reuse smoke bench ok (warm byte-identical)')
 " "$CACHE_OUT"
 
-BACKENDS_OUT="${TMPDIR:-/tmp}/bench_backends_smoke.json"
-python benchmarks/bench_backends.py --smoke --chunk-sweep --out "$BACKENDS_OUT"
+CHUNK_OUT="${TMPDIR:-/tmp}/bench_chunk_smoke.json"
+python benchmarks/bench_backends.py --smoke --out "$CHUNK_OUT"
 python -c "
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc['meta']['schema'] == 'repro.bench/v1', doc.get('meta')
-assert doc['cold_solve']['byte_identical'] is True, doc['cold_solve']
-assert doc['meta']['backend']['active'] in doc['backends']['tested'], doc['meta']['backend']
-print('backends smoke bench ok (cold solves byte-identical, backend stamped)')
-" "$BACKENDS_OUT"
+assert doc['chunk_sweep']['byte_identical'] is True, doc['chunk_sweep']
+assert len(doc['chunk_sweep']['seconds_by_chunk']) == 2, doc['chunk_sweep']
+print('chunk-sweep smoke bench ok (candidate sets byte-identical across chunk sizes)')
+" "$CHUNK_OUT"
 
 VARY_OUT="${TMPDIR:-/tmp}/vary_smoke.json"
 VARY_OUT2="${TMPDIR:-/tmp}/vary_smoke_rerun.json"

@@ -1,11 +1,10 @@
-"""Reference numpy backend: the original broadcast kernels, behind the seam.
+"""The numpy kernels: the broadcast implementation every solve runs.
 
 These bodies are the exact array expressions that previously lived inline
 in :mod:`repro.geometry.visibility` (proper-crossing + parity tests),
 :mod:`repro.model.power` (the power-law fill) and :mod:`repro.core.pdcs`
-(the sweep coverage matrix).  They were moved here verbatim — same
-operations in the same order on the same dtypes — so every other backend
-has a bit-exact oracle to match and the seam itself cannot change results.
+(the sweep coverage matrix), moved here verbatim — same operations in the
+same order on the same dtypes — so the seam itself cannot change results.
 """
 
 from __future__ import annotations
@@ -65,14 +64,9 @@ def _blocked_segments(
 
 
 class NumpyBackend(KernelBackend):
-    """Pure-numpy kernels; always available, the auto-selection floor."""
+    """Pure-numpy broadcast kernels; the backend every solve runs on."""
 
     name = "numpy"
-    priority = 10
-    selectable = True
-
-    def available(self) -> bool:
-        return True
 
     def blocked_segments(
         self,

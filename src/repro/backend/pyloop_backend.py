@@ -1,36 +1,110 @@
-"""Uncompiled scalar-loop backend (``pyloop``).
+"""Scalar-loop kernels (``pyloop``): the test oracle for the numpy kernels.
 
-The numba kernel bodies (:mod:`.numba_backend`) running as plain Python —
-a second, independently written implementation of every kernel that is
-available on *every* machine, compiler or not.  Two consumers rely on it:
+The four kernels written a second time, one element at a time in plain
+Python (early exit per segment instead of the numpy ``(m, E)``
+broadcast).  Being an independently written implementation, it is what
+the byte-equality tests in ``tests/backend`` and the ``cross_impl``
+invariant of :mod:`repro.variation` compare the numpy kernels against.
+It is orders of magnitude slower, so it runs only when requested by name.
 
-* the differential-testing harness (:mod:`repro.variation`) uses it as the
-  always-on counterpart for the cross-backend byte-equality invariant
-  (``numpy`` oracle vs ``pyloop`` loops) on machines without numba;
-* the backend test suite exercises the numba kernel *logic* against the
-  numpy oracle even where the compiler is absent.
+Bit-identity notes — the contract is *exact* equality with the numpy
+kernels, which constrains the arithmetic:
 
-Never auto-selected (``selectable=False``): plain-Python loops are orders
-of magnitude slower than the vectorized oracle, so the backend must be
-requested by name.  Output is bit-identical to every other backend by the
-:class:`~repro.backend.KernelBackend` contract.
+* the power law is written ``t = d + b; a / (t * t)`` because numpy's
+  ``x ** 2`` takes the integer-exponent fast path (a multiply), and the
+  loop must do the identical multiply rather than call ``pow``;
+* every output element is computed by the same operations in the same
+  order as its numpy counterpart, with no accumulation across elements.
 """
 
 from __future__ import annotations
 
-from .numba_backend import NumbaBackend
+import math
+
+import numpy as np
+
+from ..geometry.primitives import EPS, TWO_PI
+from . import KernelBackend
+
+__all__ = ["PyLoopBackend"]
 
 
-class PyLoopBackend(NumbaBackend):
-    """The numba kernels without compilation — always available, explicit-only."""
+class PyLoopBackend(KernelBackend):
+    """Plain-Python scalar loops; bit-identical to :class:`NumpyBackend`."""
 
     name = "pyloop"
-    priority = -100
-    selectable = False
 
-    def available(self) -> bool:
-        return True
+    def blocked_segments(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        edge_starts: np.ndarray,
+        edge_ends: np.ndarray,
+        edge_dirs: np.ndarray,
+    ) -> np.ndarray:
+        # Per segment: proper-crossing test against each edge with early
+        # exit, then the even-odd midpoint parity fallback for grazing ones.
+        c, d, s = edge_starts, edge_ends, edge_dirs
+        m = starts.shape[0]
+        out = np.zeros(m, dtype=np.bool_)
+        for k in range(m):
+            sx = starts[k, 0]
+            sy = starts[k, 1]
+            rx = ends[k, 0] - sx
+            ry = ends[k, 1] - sy
+            blocked = False
+            for e in range(c.shape[0]):
+                d1 = rx * (c[e, 1] - sy) - ry * (c[e, 0] - sx)
+                d2 = rx * (d[e, 1] - sy) - ry * (d[e, 0] - sx)
+                if not ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)):
+                    continue
+                d3 = s[e, 0] * (sy - c[e, 1]) - s[e, 1] * (sx - c[e, 0])
+                d4 = s[e, 0] * (ends[k, 1] - c[e, 1]) - s[e, 1] * (ends[k, 0] - c[e, 0])
+                if (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS):
+                    blocked = True
+                    break
+            if not blocked:
+                mid = np.array([[(sx + ends[k, 0]) / 2.0, (sy + ends[k, 1]) / 2.0]])
+                blocked = bool(self.parity_inside(c, d, mid)[0])
+            out[k] = blocked
+        return out
 
-    def load(self) -> None:
-        # Keep the plain-Python kernel bodies installed by __init__.
-        pass
+    def parity_inside(
+        self, edge_starts: np.ndarray, edge_ends: np.ndarray, points: np.ndarray
+    ) -> np.ndarray:
+        c, d = edge_starts, edge_ends
+        out = np.zeros(points.shape[0], dtype=np.bool_)
+        for k in range(points.shape[0]):
+            x = points[k, 0]
+            y = points[k, 1]
+            crossings = 0
+            for e in range(c.shape[0]):
+                if (c[e, 1] > y) != (d[e, 1] > y):
+                    x_cross = (d[e, 0] - c[e, 0]) * (y - c[e, 1]) / (d[e, 1] - c[e, 1]) + c[e, 0]
+                    if x < x_cross:
+                        crossings += 1
+            out[k] = crossings % 2 == 1
+        return out
+
+    def power_fill(self, a: np.ndarray, b: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        out = np.empty(dists.shape, dtype=np.float64)
+        for idx in np.ndindex(*dists.shape):
+            j = idx[-1]
+            t = dists[idx] + b[j]
+            out[idx] = a[j] / (t * t)
+        return out
+
+    def sweep_coverage(
+        self, bearings: np.ndarray, half_angle: float, tol: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        m = bearings.shape[0]
+        thetas = np.empty(m, dtype=np.float64)
+        for t in range(m):
+            thetas[t] = np.mod(bearings[t] + half_angle, TWO_PI)
+        coverage = np.empty((m, m), dtype=np.bool_)
+        limit = half_angle + tol
+        for t in range(m):
+            for j in range(m):
+                diff = abs(np.mod(bearings[j] - thetas[t] + math.pi, TWO_PI) - math.pi)
+                coverage[t, j] = diff <= limit
+        return thetas, coverage

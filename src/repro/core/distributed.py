@@ -227,7 +227,7 @@ def _positions_task(i: int) -> dict[str, np.ndarray]:
     return out
 
 
-def _sweep_task(args: tuple[str, np.ndarray, int | None]):
+def _sweep_task(args: tuple[str, np.ndarray]):
     """One chunked PDCS sweep in a pool worker.
 
     Returns ``(records, sweep_seconds, metrics_snapshot)``: the worker
@@ -237,17 +237,12 @@ def _sweep_task(args: tuple[str, np.ndarray, int | None]):
     """
     from .pdcs import sweep_position_batch
 
-    ct_name, positions, los_chunk_size = args
+    ct_name, positions = args
     gen = _WORKER_GEN
     ct = gen.scenario.charger_type(ct_name)
     task_metrics = MetricsRegistry()
     records, sweep_s = sweep_position_batch(
-        gen.evaluator,
-        gen.approx,
-        ct,
-        positions,
-        los_chunk_size=los_chunk_size,
-        metrics=task_metrics,
+        gen.evaluator, gen.approx, ct, positions, metrics=task_metrics
     )
     return records, sweep_s, task_metrics.snapshot()
 

@@ -122,7 +122,6 @@ def sweep_position_batch(
     ctype: ChargerType,
     positions: np.ndarray,
     *,
-    los_chunk_size: int | None = None,
     metrics=None,
 ) -> tuple[list[SweptCandidate], float]:
     """Batched candidate extraction at many positions for one charger type.
@@ -152,9 +151,7 @@ def sweep_position_batch(
         metrics.inc("extraction.positions_swept", len(pts))
     if len(pts) == 0:
         return records, 0.0
-    mask_b, dists_b, bearings_b = evaluator.coverable_many(
-        ctype, pts, los_chunk_size=los_chunk_size
-    )
+    mask_b, dists_b, bearings_b = evaluator.coverable_many(ctype, pts)
     rows = np.nonzero(mask_b.any(axis=1))[0]
     if rows.size == 0:
         return records, 0.0

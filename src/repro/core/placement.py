@@ -18,7 +18,6 @@ with the exact power law.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -68,8 +67,8 @@ class PhaseTimings:
     tracer).  ``extraction_seconds`` covers candidate-position generation
     plus the batched coverability/power kernels; ``sweep_seconds`` the
     Algorithm-1 rotational sweeps; ``dedupe_seconds`` candidate
-    deduplication and row assembly; ``selection_seconds`` the greedy.  With
-    ``workers > 1`` the sweeps run inside pool workers, so
+    deduplication and row assembly; ``selection_seconds`` the greedy.  When
+    the sweeps ran in pool workers (``pooled`` on the ``sweeps`` span),
     ``sweep_seconds`` is CPU-seconds summed across workers (it overlaps
     ``extraction_seconds``, which stays wall-clock).
     """
@@ -90,7 +89,11 @@ class PhaseTimings:
         accumulated ``sweep_seconds`` / ``dedupe_seconds`` attributes) and
         the most recent ``selection`` span, matching the pre-tracer
         semantics: in-process sweep time is carved out of extraction,
-        pooled sweep time overlaps it.
+        pooled sweep time overlaps it.  Whether the sweeps were pooled is
+        read from the ``pooled`` attribute of the extraction's ``sweeps``
+        child, which records whether the pool actually ran — not the
+        requested worker count, since a subclassed generator runs
+        in-process whatever ``workers`` says.
         """
         t = cls()
         ext_spans = trace.find_all("extraction")
@@ -101,7 +104,9 @@ class PhaseTimings:
             t.dedupe_seconds = float(ext.attrs.get("dedupe_seconds", 0.0))
             t.num_positions = int(ext.attrs.get("positions", 0))
             t.num_candidates = int(ext.attrs.get("candidates", 0))
-            in_process_sweep = 0.0 if t.workers > 1 else t.sweep_seconds
+            sweeps = [sp for sp in trace.children_of(ext) if sp.name == "sweeps"]
+            pooled = bool(sweeps and sweeps[-1].attrs.get("pooled"))
+            in_process_sweep = 0.0 if pooled else t.sweep_seconds
             t.extraction_seconds = max(0.0, ext.wall_s - t.dedupe_seconds - in_process_sweep)
         sel_spans = trace.find_all("selection")
         if sel_spans:
@@ -190,32 +195,6 @@ class HIPOSolution:
 #: cache.
 DEFAULT_EXTRACTION_CHUNK = 128
 
-#: Environment override for the extraction sweep chunk size; an explicit
-#: ``extraction_chunk_size`` argument wins over the environment.
-EXTRACTION_CHUNK_ENV = "REPRO_EXTRACTION_CHUNK"
-
-
-def _resolve_extraction_chunk(value: int | None) -> int:
-    """The sweep chunk size to use: explicit arg > env var > default.
-
-    Chunking only bounds memory and task granularity — record order is
-    preserved — so any positive value yields byte-identical candidates.
-    """
-    if value is None:
-        raw = os.environ.get(EXTRACTION_CHUNK_ENV, "").strip()
-        if not raw:
-            return DEFAULT_EXTRACTION_CHUNK
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{EXTRACTION_CHUNK_ENV} must be a positive integer, got {raw!r}"
-            ) from exc
-    chunk = int(value)
-    if chunk < 1:
-        raise ValueError(f"extraction chunk size must be positive, got {chunk}")
-    return chunk
-
 
 def build_candidate_set(
     scenario: Scenario,
@@ -226,7 +205,6 @@ def build_candidate_set(
     workers: int | None = None,
     batched: bool = True,
     extraction_chunk_size: int | None = None,
-    los_chunk_size: int | None = None,
     backend: str | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -234,14 +212,15 @@ def build_candidate_set(
 ) -> CandidateSet:
     """Run candidate extraction + PDCS sweeps and assemble the power matrices.
 
-    *backend* names the compute backend for the hot kernels (``"numpy"``,
-    ``"numba"``, ``None``/``"auto"`` — see :mod:`repro.backend`); pool
-    workers inherit the resolved choice, and all backends produce
-    byte-identical candidate sets.  *extraction_chunk_size* tunes the
-    positions-per-sweep-task granularity (falling back to the
-    ``REPRO_EXTRACTION_CHUNK`` environment variable, then
-    :data:`DEFAULT_EXTRACTION_CHUNK`); the resolved value is recorded on
-    the ``sweeps`` span as ``chunk_size``.
+    *backend* names the kernel set for the hot kernels (``"numpy"`` or
+    the ``"pyloop"`` oracle; ``None`` keeps the ambient one — see
+    :mod:`repro.backend`); pool workers inherit the resolved choice, and
+    both produce byte-identical candidate sets.  *extraction_chunk_size*
+    tunes the positions-per-sweep-task granularity (default
+    :data:`DEFAULT_EXTRACTION_CHUNK`); chunking preserves record order, so
+    any positive value yields byte-identical candidates.  The value is
+    recorded on the ``sweeps`` span as ``chunk_size``, next to ``pooled``
+    (whether the sweeps actually ran in the pool).
 
     *cancel* is a cooperative cancellation token (``is_set() -> bool``,
     e.g. ``threading.Event``) polled between per-device position tasks and
@@ -286,8 +265,11 @@ def build_candidate_set(
     positions_per_type: dict[str, int] = {}
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
     nworkers = max(1, int(workers or 1))
-    use_pool = nworkers > 1
-    chunk = _resolve_extraction_chunk(extraction_chunk_size)
+    # A subclassed generator cannot be rebuilt in workers: run in-process.
+    use_pool = nworkers > 1 and plain_generator
+    chunk = DEFAULT_EXTRACTION_CHUNK if extraction_chunk_size is None else int(extraction_chunk_size)
+    if chunk < 1:
+        raise ValueError(f"extraction chunk size must be positive, got {chunk}")
     sweep_s = 0.0  # CPU-seconds inside Algorithm-1 sweeps (worker-side when pooled)
     dedupe_s = 0.0  # wall-clock inside absorb()
 
@@ -336,7 +318,7 @@ def build_candidate_set(
                         pos_map[ct.name] = np.asarray(
                             positions_by_type.get(ct.name, np.zeros((0, 2))), dtype=float
                         )
-                elif use_pool and plain_generator and active:
+                elif use_pool and active:
                     pool = extraction_pool(
                         scenario,
                         gen.eps,
@@ -359,9 +341,8 @@ def build_candidate_set(
                 pos_sp.set(positions=sum(positions_per_type.values()))
 
             # Phase 2: PDCS sweeps (batched / pooled / legacy) + dedupe.
-            with trace.span(
-                "sweeps", batched=batched, pooled=use_pool, chunk_size=chunk
-            ) as sw_sp:
+            sweeps_pooled = False
+            with trace.span("sweeps", batched=batched, chunk_size=chunk) as sw_sp:
                 if not batched:
                     for q, ct in active:
                         positions = pos_map[ct.name]
@@ -390,16 +371,15 @@ def build_candidate_set(
                             mreg.inc("extraction.candidates_raw", len(records))
                             absorb(q, ct, records)
                 else:
-                    tasks: list[tuple[str, np.ndarray, int | None]] = []
+                    tasks: list[tuple[str, np.ndarray]] = []
                     task_meta: list[tuple[int, object]] = []
                     for q, ct in active:
                         positions = pos_map[ct.name]
                         for lo in range(0, len(positions), chunk):
-                            tasks.append(
-                                (ct.name, positions[lo : lo + chunk], los_chunk_size)
-                            )
+                            tasks.append((ct.name, positions[lo : lo + chunk]))
                             task_meta.append((q, ct))
-                    if use_pool and plain_generator and tasks:
+                    sweeps_pooled = use_pool and bool(tasks)
+                    if sweeps_pooled:
                         if pool is None:
                             pool = extraction_pool(
                                 scenario,
@@ -419,16 +399,12 @@ def build_candidate_set(
                         for (q, ct), task in zip(task_meta, tasks):
                             check_cancel(cancel)
                             records, task_sweep_s = sweep_position_batch(
-                                ev,
-                                approx,
-                                ct,
-                                task[1],
-                                los_chunk_size=los_chunk_size,
-                                metrics=mreg,
+                                ev, approx, ct, task[1], metrics=mreg
                             )
                             sweep_s += task_sweep_s
                             absorb(q, ct, records)
                 sw_sp.set(
+                    pooled=sweeps_pooled,
                     sweep_seconds=round(sweep_s, 6),
                     dedupe_seconds=round(dedupe_s, 6),
                     candidates=len(strategies),
@@ -520,7 +496,6 @@ def solve_hipo(
     keep_candidates: bool = False,
     workers: int | None = None,
     batched: bool = True,
-    extraction_chunk_size: int | None = None,
     backend: str | None = None,
     candidate_cache: CandidateSetCache | None = None,
     tracer: Tracer | None = None,
@@ -529,13 +504,12 @@ def solve_hipo(
 ) -> HIPOSolution:
     """Solve a HIPO instance end to end (the paper's full algorithm).
 
-    *backend* selects the compute backend for the extraction hot path
-    (``"numpy"``, ``"numba"``, ``None``/``"auto"``; see
-    :mod:`repro.backend`).  Backends are bit-identical by contract, so the
-    choice affects wall-clock only — never the placement, the utilities or
-    the candidate-cache keys.  The resolved name is stamped on the
-    ``solve`` and ``extraction`` trace spans.  *extraction_chunk_size*
-    tunes sweep-task granularity (see :func:`build_candidate_set`).
+    *backend* selects the kernel set for the extraction hot path
+    (``"numpy"`` or the ``"pyloop"`` oracle; ``None`` keeps the ambient
+    one — see :mod:`repro.backend`).  The two are bit-identical by
+    contract, so the choice affects wall-clock only — never the placement,
+    the utilities or the candidate-cache keys.  The resolved name is
+    stamped on the ``solve`` and ``extraction`` trace spans.
 
     Returns a :class:`HIPOSolution`; ``utility`` is the exact objective of
     Eq. (4) for the selected strategies.  ``workers > 1`` runs the candidate
@@ -597,7 +571,6 @@ def solve_hipo(
                 positions_by_type=positions_by_type,
                 workers=workers,
                 batched=batched,
-                extraction_chunk_size=extraction_chunk_size,
                 tracer=trace,
                 metrics=mreg,
                 cancel=cancel,

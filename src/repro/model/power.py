@@ -142,7 +142,7 @@ class PowerEvaluator:
         """Drop the line-of-sight cache (e.g. between sweep repetitions)."""
         self._los_cache.clear()
 
-    def los_mask_many(self, positions: np.ndarray, *, chunk_size: int | None = None) -> np.ndarray:
+    def los_mask_many(self, positions: np.ndarray) -> np.ndarray:
         """Batched :meth:`los_mask`: ``(positions × devices)`` in one broadcast.
 
         Positions already in the cache are reused; fresh rows are computed
@@ -156,8 +156,7 @@ class PowerEvaluator:
         keys = [(round(float(p[0]), 9), round(float(p[1]), 9)) for p in pos]
         missing = [i for i, k in enumerate(keys) if k not in self._los_cache]
         if missing:
-            kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-            fresh = visible_mask_many(pos[missing], self.positions, self.obstacles, **kwargs)
+            fresh = visible_mask_many(pos[missing], self.positions, self.obstacles)
             for row, i in enumerate(missing):
                 self._los_cache[keys[i]] = fresh[row]
         for i, k in enumerate(keys):
@@ -189,11 +188,7 @@ class PowerEvaluator:
         return mask, dists, bearings
 
     def coverable_many(
-        self,
-        ctype: ChargerType,
-        positions: np.ndarray,
-        *,
-        los_chunk_size: int | None = None,
+        self, ctype: ChargerType, positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`coverable` over many candidate positions.
 
@@ -202,7 +197,7 @@ class PowerEvaluator:
         ``coverable(ctype, positions[i])`` result.  The distance, ring and
         receiving-cone tests are one broadcast over the whole batch; the
         line-of-sight masks come from :meth:`los_mask_many` (chunked so
-        memory stays bounded, see *los_chunk_size*).
+        memory stays bounded).
         """
         pos = np.asarray(positions, dtype=float).reshape(-1, 2)
         delta = self.positions[None, :, :] - pos[:, None, :]  # (P, No, 2)
@@ -216,7 +211,7 @@ class PowerEvaluator:
             mask &= diff <= self.half_angles[None, :] + EPS
         if mask.any() and self.obstacles:
             rows = np.nonzero(mask.any(axis=1))[0]
-            mask[rows] &= self.los_mask_many(pos[rows], chunk_size=los_chunk_size)
+            mask[rows] &= self.los_mask_many(pos[rows])
         return mask, dists, bearings
 
     def power_vector(self, strategy: Strategy, *, distances: np.ndarray | None = None) -> np.ndarray:

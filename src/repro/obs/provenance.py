@@ -72,21 +72,6 @@ def _lint_meta() -> dict[str, Any] | None:
     return _LINT_CACHE
 
 
-def _backend_meta() -> dict[str, Any] | None:
-    """Active compute backend + availability map for provenance stamping.
-
-    Degrades to ``None`` on any failure so benchmark writes never break on
-    an exotic backend state; the import is lazy to keep ``repro.obs``
-    importable without the backend package in stripped-down checkouts.
-    """
-    try:
-        from ..backend import active_backend, backend_status
-
-        return {"active": active_backend().name, "available": backend_status()}
-    except Exception:
-        return None
-
-
 def run_meta(metrics: MetricsSnapshot | None = None) -> dict[str, Any]:
     """The provenance ``meta`` block stamped into benchmark artifacts."""
     import numpy as np
@@ -102,9 +87,6 @@ def run_meta(metrics: MetricsSnapshot | None = None) -> dict[str, Any]:
             timespec="seconds"
         ),
     }
-    backend = _backend_meta()
-    if backend is not None:
-        meta["backend"] = backend
     lint = _lint_meta()
     if lint is not None:
         meta["lint"] = lint

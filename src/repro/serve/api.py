@@ -67,7 +67,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..analysis.sanitizer import new_lock
-from ..backend import backend_status, resolve_backend
 from ..core import CandidateSetCache, solve_hipo
 from ..core.reuse import extraction_cache_key
 from ..io import canonical_scenario_hash, scenario_from_dict
@@ -149,13 +148,7 @@ class SolveService:
         candidate_cache_dir: str | None = None,
         default_timeout_s: float | None = None,
         validate_default: bool = True,
-        backend: str | None = None,
     ) -> None:
-        # Resolve the compute backend up front: a bad --backend should fail
-        # service startup with a clear error, not the first job.  Backends
-        # are bit-identical by contract, so this choice never affects
-        # results or cache keys — only solve wall-clock.
-        self.backend_name: str = resolve_backend(backend).name
         self.metrics = MetricsRegistry()
         #: One lock per registry: the registry is not thread-safe, and the
         #: caches and pool record onto the same instance, so they must share
@@ -349,7 +342,6 @@ class SolveService:
             refine=params.get("refine", False),
             algorithm3_order=params.get("algorithm3_order", False),
             objective_power=params.get("objective_power", "approx"),
-            backend=self.backend_name,
             candidate_cache=self.candidate_cache if use_candidate_cache else None,
             tracer=tracer,
             metrics=job_metrics,
@@ -434,7 +426,6 @@ class SolveService:
             },
             "cache": self.cache.stats(),
             "candidate_cache": self.candidate_cache.stats(),
-            "backend": {"active": self.backend_name, "available": backend_status()},
             "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
         }
 
@@ -595,7 +586,6 @@ def run_server(
     candidate_cache_bytes: int = 128 * 1024 * 1024,
     candidate_cache_dir: str | None = None,
     default_timeout_s: float | None = None,
-    backend: str | None = None,
     verbose: bool = True,
 ) -> int:
     """Blocking entry point behind ``repro serve``.
@@ -621,14 +611,12 @@ def run_server(
         candidate_cache_bytes=candidate_cache_bytes,
         candidate_cache_dir=candidate_cache_dir,
         default_timeout_s=default_timeout_s,
-        backend=backend,
     ).start()
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     print(
         f"repro serve listening on http://{bound_host}:{bound_port} "
-        f"(pool={pool_size}, queue={queue_size}, cache={cache_entries} entries, "
-        f"backend={service.backend_name})",
+        f"(pool={pool_size}, queue={queue_size}, cache={cache_entries} entries)",
         flush=True,
     )
     try:

@@ -1,10 +1,8 @@
 """Helpers shared by the backend test modules.
 
-``PyLoopBackend`` (now shipped in :mod:`repro.backend.pyloop_backend`) is
-the numba backend *without* compilation: the same scalar-loop kernel bodies
-running as plain Python.  It lets the numba kernel logic be exercised
-against the numpy oracle on every machine — when numba is installed, the
-compiled backend is additionally tested (same bodies, compiled).
+``PyLoopBackend`` (:mod:`repro.backend.pyloop_backend`) is the second,
+scalar-loop implementation of the four kernels; every test here compares
+it bit for bit against the numpy kernels.
 """
 
 from __future__ import annotations
@@ -13,11 +11,7 @@ import math
 
 import pytest
 
-from repro import backend as backend_pkg
-from repro.backend import KernelBackend, register_backend
-from repro.backend.numba_backend import NumbaBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.pyloop_backend import PyLoopBackend
 from repro.geometry import rectangle
 from repro.model import (
     ChargerType,
@@ -27,27 +21,6 @@ from repro.model import (
     PairCoefficients,
     Scenario,
 )
-
-
-def alternative_backends() -> list[KernelBackend]:
-    """Every backend that must match the numpy oracle on this machine."""
-    alts: list[KernelBackend] = [PyLoopBackend()]
-    compiled = NumbaBackend()
-    if compiled.available():
-        alts.append(compiled.ensure_loaded())
-    return alts
-
-
-@pytest.fixture
-def pyloop_registered():
-    """The pyloop backend (now package-registered) under a fresh instance."""
-    register_backend(PyLoopBackend())
-    try:
-        yield "pyloop"
-    finally:
-        # Restore a pristine package-level registration for later tests.
-        register_backend(PyLoopBackend())
-        backend_pkg._DEFAULT_CACHE.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Cross-backend bit-equality: every backend must match the numpy oracle.
+"""Cross-backend bit-equality: the pyloop kernels must match numpy's.
 
 The seam's contract is *bitwise* interchangeability — candidate sets,
 cache blobs and placements may not depend on the backend.  Hypothesis
@@ -6,11 +6,6 @@ drives the kernels over lattice coordinates (quarter-integer grid) so
 degenerate configurations — collinear touches, vertex-grazing rays,
 segments lying exactly along edges, zero-aperture sectors — occur with
 high probability instead of almost never.
-
-The ``pyloop`` backend (see ``backend_testlib.py``) runs the numba kernel bodies
-uncompiled, so the compiled path's logic is verified even on machines
-without numba; when numba is importable the compiled backend joins the
-comparison too.
 """
 
 from __future__ import annotations
@@ -22,18 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from backend_testlib import (  # noqa: F401  (fixtures register on import)
-    alternative_backends,
-    numpy_backend,
-    pyloop_registered,
-    solve_scenario,
-)
+from backend_testlib import numpy_backend, solve_scenario  # noqa: F401  (fixture)
 
 from repro.backend import use_backend
+from repro.backend.pyloop_backend import PyLoopBackend
 from repro.geometry import Polygon, rectangle, visible_mask, visible_mask_many
 from repro.geometry.primitives import TWO_PI
 
-ALTS = alternative_backends()
+ALTS = [PyLoopBackend()]
 
 
 def alt_ids():
@@ -183,19 +174,14 @@ def _solve_scenario():
     return solve_scenario()
 
 
-def test_candidates_and_solutions_byte_identical_across_backends(pyloop_registered):
+def test_candidates_and_solutions_byte_identical_across_backends():
     """The acceptance criterion, end to end: candidate blobs and placements
     from different backends are byte-for-byte the same."""
     from repro.core import build_candidate_set, solve_hipo
     from repro.core.reuse import serialize_candidate_set
 
     sc = _solve_scenario()
-    backends = ["numpy", pyloop_registered]
-    from repro.backend.numba_backend import NumbaBackend
-
-    if NumbaBackend().available():
-        backends.append("numba")
-
+    backends = ["numpy", "pyloop"]
     blobs = {}
     solutions = {}
     for name in backends:
@@ -214,7 +200,7 @@ def test_candidates_and_solutions_byte_identical_across_backends(pyloop_register
         ]
 
 
-def test_cache_key_excludes_backend(pyloop_registered):
+def test_cache_key_excludes_backend():
     """Candidate-cache keys are backend-independent: a set extracted on one
     backend warm-starts a solve on another, byte-identically."""
     from repro.core import solve_hipo
@@ -225,7 +211,7 @@ def test_cache_key_excludes_backend(pyloop_registered):
     cache = CandidateSetCache()
     cold = solve_hipo(sc, backend="numpy", candidate_cache=cache)
     assert cache.stats()["misses"] == 1
-    warm = solve_hipo(sc, backend=pyloop_registered, candidate_cache=cache)
+    warm = solve_hipo(sc, backend="pyloop", candidate_cache=cache)
     assert cache.stats()["hits"] == 1
     assert extraction_cache_key(sc) == key  # key is a pure content address
     assert warm.utility == cold.utility

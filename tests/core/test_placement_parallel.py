@@ -80,20 +80,6 @@ def test_chunk_size_invariance():
         assert_candidate_sets_identical(base, other)
 
 
-def test_chunk_size_env_override(monkeypatch):
-    sc = scenario_with_obstacles()
-    base = build_candidate_set(sc)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "9")
-    other = build_candidate_set(sc)
-    assert_candidate_sets_identical(base, other)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "not-a-number")
-    with pytest.raises(ValueError):
-        build_candidate_set(sc)
-    monkeypatch.setenv("REPRO_EXTRACTION_CHUNK", "0")
-    with pytest.raises(ValueError):
-        build_candidate_set(sc)
-
-
 def test_chunk_size_recorded_in_sweeps_span():
     from repro.obs import Tracer
 
@@ -149,6 +135,30 @@ def test_subclassed_generator_falls_back_in_process():
     # And the subclass genuinely changed extraction vs the stock generator.
     stock = build_candidate_set(sc, generator=CandidateGenerator(sc, eps=0.2))
     assert stock.num_candidates != serial.num_candidates
+
+
+def test_subclassed_generator_fallback_is_not_labelled_pooled():
+    """With a subclassed generator ``workers=2`` starts no pool, so the
+    ``sweeps`` span must record ``pooled=False`` and :class:`PhaseTimings`
+    must carve the in-process sweep time out of extraction: extraction,
+    sweep and dedupe then add up to the extraction span's wall time instead
+    of exceeding it."""
+    from repro.obs import Tracer
+
+    sc = scenario_with_obstacles()
+    trace = Tracer()
+    gen = _EveryOtherPositionGenerator(sc, eps=0.2)
+    cs = build_candidate_set(sc, generator=gen, workers=2, tracer=trace)
+    assert trace.find_all("sweeps")[-1].attrs["pooled"] is False
+    t = cs.timings
+    assert t.workers == 2 and t.sweep_seconds > 0.0
+    wall = trace.find_all("extraction")[-1].wall_s
+    assert t.extraction_seconds + t.sweep_seconds + t.dedupe_seconds == pytest.approx(wall)
+
+    # A plain generator does pool its sweeps, and says so.
+    trace = Tracer()
+    build_candidate_set(sc, workers=2, tracer=trace)
+    assert trace.find_all("sweeps")[-1].attrs["pooled"] is True
 
 
 def test_positions_by_type_override_with_workers():

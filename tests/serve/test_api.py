@@ -235,38 +235,3 @@ def test_healthz_metrics_and_404(scenario_data):
         assert metrics["cache"]["misses"] >= 1
     finally:
         stop(server, service)
-
-
-def test_service_reports_backend_in_metrics_and_trace(scenario_data):
-    """The serve --backend choice is observable: /v1/metrics names the active
-    backend, and every job's solve span carries it."""
-    service = SolveService(pool_size=1, queue_size=4, backend="numpy").start()
-    server, client = start_server(service)
-    try:
-        status, metrics = client.request("GET", "/v1/metrics")
-        assert status == 200
-        assert metrics["backend"]["active"] == "numpy"
-        assert metrics["backend"]["available"]["numpy"] is True
-        assert set(metrics["backend"]["available"]) >= {"numpy", "numba", "cupy"}
-
-        status, resp = client.post_solve({"scenario": scenario_data})
-        assert status == 202
-        payload = client.poll(resp["id"])
-        assert payload["state"] == "done"
-        solve_spans = [sp for sp in payload["trace"] if sp["name"] == "solve"]
-        assert solve_spans and solve_spans[-1]["attrs"]["backend"] == "numpy"
-    finally:
-        stop(server, service)
-
-
-def test_service_default_backend_resolves_eagerly(scenario_data):
-    """No explicit backend: the service pins auto's concrete choice at
-    construction; an impossible backend fails at startup, not first job."""
-    service = SolveService(pool_size=1, queue_size=4)
-    assert service.backend_name in {"numpy", "numba"}
-    service.shutdown()
-
-    from repro.backend import BackendUnavailable
-
-    with pytest.raises(BackendUnavailable):
-        SolveService(pool_size=1, queue_size=4, backend="cupy")
