@@ -7,8 +7,9 @@ Demonstrates the three layers of the distributed extractor:
    2*dmax neighbour set (Algorithm 4);
 2. simulated cluster — measure each task's serial cost once, assign with
    LPT, report the makespan for several machine counts (Fig. 12's metric);
-3. real parallelism — run the same tasks on a local ProcessPoolExecutor and
-   check the union of candidates matches the serial extraction.
+3. real parallelism — build the candidate set with ``workers=N``, which
+   runs the same tasks and the PDCS sweeps on a local process pool, and
+   check its per-type position counts match the serial build.
 
 Run:  python examples/distributed_extraction.py
 """
@@ -18,12 +19,7 @@ import time
 
 import numpy as np
 
-from repro.core import (
-    CandidateGenerator,
-    assign_tasks,
-    measure_task_costs,
-    parallel_positions_by_type,
-)
+from repro.core import assign_tasks, build_candidate_set, measure_task_costs
 from repro.experiments import random_scenario
 
 
@@ -42,17 +38,16 @@ def main() -> None:
     # 3: real process pool (workers capped by this machine's cores).
     workers = min(4, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    parallel = parallel_positions_by_type(scenario, workers=workers)
+    parallel = build_candidate_set(scenario, workers=workers)
     wall = time.perf_counter() - t0
     print(f"\nprocess pool ({workers} workers): {wall * 1e3:.1f} ms wall clock")
 
-    gen = CandidateGenerator(scenario)
-    for ct in scenario.charger_types:
-        serial_pts = {tuple(np.round(p, 6)) for p in gen.positions(ct)}
-        par_pts = {tuple(np.round(p, 6)) for p in parallel[ct.name]}
-        status = "match" if serial_pts == par_pts else "MISMATCH"
-        print(f"  {ct.name}: {len(par_pts)} candidate positions ({status} with serial)")
-
+    serial = build_candidate_set(scenario)
+    for name, count in parallel.positions_per_type.items():
+        status = "match" if serial.positions_per_type[name] == count else "MISMATCH"
+        print(f"  {name}: {count} candidate positions ({status} with serial)")
+    status = "match" if serial.num_candidates == parallel.num_candidates else "MISMATCH"
+    print(f"  {parallel.num_candidates} candidates ({status} with serial)")
 
 if __name__ == "__main__":
     main()

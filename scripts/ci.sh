@@ -1,8 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: full test suite, the extraction-scaling and cache-reuse
 # benches in smoke mode (tiny scenarios; assert the benches complete,
-# emit well-formed meta-stamped JSON and — for the cache bench — produce
-# byte-identical warm results, not any particular speedup), an observability
+# emit well-formed meta-stamped JSON, that every extraction mode —
+# in-process and pooled — reports the same candidate and position counts,
+# and — for the cache bench — byte-identical warm results, not any
+# particular speedup), an observability
 # smoke run: a traced multi-worker solve whose JSONL trace must validate
 # against the repro.trace/v1 schema (every line parses, required keys
 # present, root span covers child spans), and a serve smoke run: boot
@@ -60,7 +62,12 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc['meta']['schema'] == 'repro.bench/v1', doc.get('meta')
 assert doc['meta']['cpu_count'] and doc['meta']['python'], doc['meta']
-print('smoke bench JSON ok (meta stamped)')
+modes = doc['modes']
+assert set(modes) == {'batched', 'workers2'}, sorted(modes)
+for key in ('candidates', 'positions'):
+    seen = {name: m[key] for name, m in modes.items()}
+    assert len(set(seen.values())) == 1, (key, seen)
+print('smoke bench JSON ok (meta stamped, every mode extracts the same set)')
 " "$SMOKE_OUT"
 
 CACHE_OUT="${TMPDIR:-/tmp}/bench_cache_smoke.json"

@@ -40,7 +40,14 @@ def _blocked_segments(
     s: np.ndarray,
 ) -> np.ndarray:
     """Proper-crossing test of every sight segment against every edge, with
-    the parity (midpoint-inside) fallback for grazing segments."""
+    the parity (midpoint-inside) fallback for grazing segments.
+
+    A grazing segment through a polygon vertex can still cross the interior
+    between two boundary touches (a corner-to-corner diagonal), where its
+    single midpoint may land on the boundary.  Those rows are split at the
+    vertex parameters and each sub-interval midpoint off the boundary is
+    parity-tested, as :meth:`~repro.geometry.Polygon.blocks_segment` does.
+    """
     r = ends - starts  # (m, 2) segment directions
     cs = c[None, :, :] - starts[:, None, :]  # (m, E, 2)
     ds = d[None, :, :] - starts[:, None, :]
@@ -52,14 +59,57 @@ def _blocked_segments(
     ec = ends[:, None, :] - c[None, :, :]
     d3 = s[None, :, 0] * sc[..., 1] - s[None, :, 1] * sc[..., 0]
     d4 = s[None, :, 0] * ec[..., 1] - s[None, :, 1] * ec[..., 0]
-    proper = (((d1 > EPS) & (d2 < -EPS)) | ((d1 < -EPS) & (d2 > EPS))) & (
+    above, below = d1 > EPS, d1 < -EPS
+    proper = ((above & (d2 < -EPS)) | (below & (d2 > EPS))) & (
         ((d3 > EPS) & (d4 < -EPS)) | ((d3 < -EPS) & (d4 > EPS))
     )
     blocked = proper.any(axis=1)
-    free = np.nonzero(~blocked)[0]
-    if free.size:
-        mids = (starts[free] + ends[free]) / 2.0
-        blocked[free] = _parity_inside(c, d, mids)
+    free = ~blocked
+    # Free rows whose line passes through a polygon vertex (rare) are split
+    # at the vertices strictly inside the segment, as blocks_segment does;
+    # sub-intervals along a collinear edge lie on the boundary and are
+    # skipped.  The other sub-interval midpoints join the parity test below.
+    on_line = ~(above | below)
+    rows: list[int] = []
+    sub_mids: list[tuple[float, float]] = []
+    owner: list[int] = []
+    if on_line.any():
+        touched = np.zeros_like(free)
+        touched[np.flatnonzero(on_line) // on_line.shape[1]] = True
+        cl, dl = c.tolist(), d.tolist()
+        for k in np.flatnonzero(touched & free).tolist():
+            sx, sy = starts[k].tolist()
+            rx, ry = r[k].tolist()
+            rr = rx * rx + ry * ry
+            if rr <= 0.0:
+                continue
+            ts, along = [0.0, 1.0], []
+            d2k = d2[k].tolist()
+            for e in np.flatnonzero(on_line[k]).tolist():
+                tc = ((cl[e][0] - sx) * rx + (cl[e][1] - sy) * ry) / rr
+                if EPS < tc < 1.0 - EPS:
+                    ts.append(tc)
+                if not (d2k[e] > EPS or d2k[e] < -EPS):
+                    td = ((dl[e][0] - sx) * rx + (dl[e][1] - sy) * ry) / rr
+                    along.append((min(tc, td), max(tc, td)))
+            if len(ts) == 2 and not along:
+                continue
+            ts.sort()
+            for t0, t1 in zip(ts, ts[1:]):
+                if t1 - t0 > EPS and not any(lo - EPS <= t0 and t1 <= hi + EPS for lo, hi in along):
+                    tm = (t0 + t1) / 2.0
+                    sub_mids.append((sx + tm * rx, sy + tm * ry))
+                    owner.append(k)
+            rows.append(k)
+        free[rows] = False
+    plain = np.nonzero(free)[0]
+    mids = (starts[plain] + ends[plain]) / 2.0
+    if sub_mids:
+        mids = np.concatenate([mids, np.array(sub_mids)])
+    if len(mids):
+        inside = _parity_inside(c, d, mids)
+        blocked[plain] = inside[: plain.size]
+        blocked[np.array(owner, dtype=np.intp)[inside[plain.size :]]] = True
     return blocked
 
 

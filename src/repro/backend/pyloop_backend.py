@@ -43,7 +43,9 @@ class PyLoopBackend(KernelBackend):
         edge_dirs: np.ndarray,
     ) -> np.ndarray:
         # Per segment: proper-crossing test against each edge with early
-        # exit, then the even-odd midpoint parity fallback for grazing ones.
+        # exit, then the even-odd parity fallback for grazing ones — split at
+        # interior vertex touches (skipping stretches along a collinear
+        # edge), one whole-segment midpoint otherwise.
         c, d, s = edge_starts, edge_ends, edge_dirs
         m = starts.shape[0]
         out = np.zeros(m, dtype=np.bool_)
@@ -52,10 +54,20 @@ class PyLoopBackend(KernelBackend):
             sy = starts[k, 1]
             rx = ends[k, 0] - sx
             ry = ends[k, 1] - sy
+            rr = rx * rx + ry * ry
             blocked = False
+            touches = []
+            along = []
             for e in range(c.shape[0]):
                 d1 = rx * (c[e, 1] - sy) - ry * (c[e, 0] - sx)
                 d2 = rx * (d[e, 1] - sy) - ry * (d[e, 0] - sx)
+                if rr > 0.0 and not (d1 > EPS or d1 < -EPS):
+                    tc = ((c[e, 0] - sx) * rx + (c[e, 1] - sy) * ry) / rr
+                    if EPS < tc < 1.0 - EPS:
+                        touches.append(tc)
+                    if not (d2 > EPS or d2 < -EPS):
+                        td = ((d[e, 0] - sx) * rx + (d[e, 1] - sy) * ry) / rr
+                        along.append((min(tc, td), max(tc, td)))
                 if not ((d1 > EPS and d2 < -EPS) or (d1 < -EPS and d2 > EPS)):
                     continue
                 d3 = s[e, 0] * (sy - c[e, 1]) - s[e, 1] * (sx - c[e, 0])
@@ -63,7 +75,17 @@ class PyLoopBackend(KernelBackend):
                 if (d3 > EPS and d4 < -EPS) or (d3 < -EPS and d4 > EPS):
                     blocked = True
                     break
-            if not blocked:
+            if not blocked and (touches or along):
+                ts = sorted([0.0, *touches, 1.0])
+                for t0, t1 in zip(ts, ts[1:]):
+                    if t1 - t0 <= EPS or any(lo - EPS <= t0 and t1 <= hi + EPS for lo, hi in along):
+                        continue
+                    tm = (t0 + t1) / 2.0
+                    mid = np.array([[sx + tm * rx, sy + tm * ry]])
+                    if self.parity_inside(c, d, mid)[0]:
+                        blocked = True
+                        break
+            elif not blocked:
                 mid = np.array([[(sx + ends[k, 0]) / 2.0, (sy + ends[k, 1]) / 2.0]])
                 blocked = bool(self.parity_inside(c, d, mid)[0])
             out[k] = blocked

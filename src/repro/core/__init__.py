@@ -10,7 +10,6 @@ from .distributed import (
     check_cancel,
     extraction_pool,
     measure_task_costs,
-    parallel_positions_by_type,
     positions_by_type_pooled,
     simulate_distributed_times,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "extraction_pool",
     "filter_dominated_sets",
     "measure_task_costs",
-    "parallel_positions_by_type",
     "positions_by_type_pooled",
     "select_strategies",
     "serialize_candidate_set",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from ..model.network import Scenario
 from ..model.types import ChargerType
 from .approximation import ApproxPowerCalculator, epsilon1_for
 
-__all__ = ["BoundaryCurves", "CandidateGenerator"]
+__all__ = ["BoundaryCurves", "CandidateGenerator", "merge_positions"]
 
 #: Bearing offsets (as fractions of the receiving half-angle) at which the
 #: point-case fallback samples each level circle inside the receiving cone —
@@ -216,13 +217,21 @@ class CandidateGenerator:
             return np.zeros((0, 2))
         return self._feasible(np.asarray(pts, dtype=float))
 
+    def device_task(self, i: int) -> dict[str, np.ndarray]:
+        """Algorithm 5's unit of work, ``{type name: points}``: the task of
+        device *i* for every charger type with a budget."""
+        return {
+            ct.name: self.positions_for_task(ct, i)
+            for ct in self.scenario.charger_types
+            if self.scenario.budgets.get(ct.name, 0) > 0
+        }
+
     def positions(self, ctype: ChargerType) -> np.ndarray:
         """All candidate positions for *ctype*, deduplicated and feasible."""
-        chunks = [self.positions_for_task(ctype, i) for i in range(self.scenario.num_devices)]
-        chunks = [c for c in chunks if len(c)]
-        if not chunks:
-            return np.zeros((0, 2))
-        return self.apply_position_cap(dedupe_points(np.vstack(chunks)))
+        n = self.scenario.num_devices
+        return self.apply_position_cap(
+            merge_positions(self.positions_for_task(ctype, i) for i in range(n))
+        )
 
     def apply_position_cap(self, pts: np.ndarray) -> np.ndarray:
         """The ``max_positions`` stratified subsample (no-op without a cap).
@@ -255,3 +264,10 @@ class CandidateGenerator:
                 break
             ok &= ~h.contains_many(pts, include_boundary=False)
         return pts[ok]
+
+
+def merge_positions(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Stack per-task position chunks and dedupe them; in device order this
+    gives the same array on the serial, measured and pooled paths."""
+    parts = [c for c in chunks if len(c)]
+    return dedupe_points(np.vstack(parts)) if parts else np.zeros((0, 2))

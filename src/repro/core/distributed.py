@@ -7,19 +7,20 @@ duplicate work.  Tasks are assigned to ``m`` parallel machines with the LPT
 rule [40] (4/3-approximate makespan); with ``m ≥ No`` each task gets its own
 machine (Algorithm 5's first branch).
 
-Two backends are provided:
+The task itself is :meth:`CandidateGenerator.device_task`; it runs two
+ways:
 
 * :func:`simulate_distributed_times` — measures each task's serial cost once
   and reports the LPT makespan for each machine count.  This is the
   deterministic substitute for the paper's machine cluster (Fig. 12 plots
   time *ratios*, which is exactly makespan / serial-total).
-* :func:`parallel_positions_by_type` — a real ``ProcessPoolExecutor``
-  execution of the tasks for wall-clock speedup on multi-core hosts.
+* :func:`positions_by_type_pooled` — a real ``ProcessPoolExecutor``
+  execution of the tasks on an :func:`extraction_pool`, which is what
+  ``build_candidate_set(workers=N)`` runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend import activate_backend
-from ..geometry import dedupe_points
 from ..model.network import Scenario
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..opt.scheduling import Schedule, lpt_schedule
-from .candidates import CandidateGenerator
+from .candidates import CandidateGenerator, merge_positions
 
 __all__ = [
     "SolveCancelled",
@@ -41,7 +41,6 @@ __all__ = [
     "measure_task_costs",
     "simulate_distributed_times",
     "assign_tasks",
-    "parallel_positions_by_type",
     "positions_by_type_pooled",
 ]
 
@@ -104,29 +103,28 @@ def measure_task_costs(
     gen = CandidateGenerator(scenario, eps=eps)
     n = scenario.num_devices
     durations = np.zeros(n)
-    chunks: dict[str, list[np.ndarray]] = {ct.name: [] for ct in scenario.charger_types}
+    results: list[dict[str, np.ndarray]] = []
     with trace.span("measure_tasks", devices=n) as msp:
         for i in range(n):
             check_cancel(cancel)
             with trace.span("task", device=i) as tsp:
                 t0 = time.perf_counter()
-                for ct in scenario.charger_types:
-                    if scenario.budgets.get(ct.name, 0) == 0:
-                        continue
-                    pts = gen.positions_for_task(ct, i)
-                    if len(pts):
-                        chunks[ct.name].append(pts)
+                results.append(gen.device_task(i))
                 durations[i] = time.perf_counter() - t0
                 tsp.set(seconds=round(float(durations[i]), 6))
             if metrics is not None:
                 metrics.inc("distributed.tasks")
                 metrics.observe("distributed.task_seconds", float(durations[i]))
         msp.set(serial_total=round(float(durations.sum()), 6))
-    positions = {
-        name: dedupe_points(np.vstack(parts)) if parts else np.zeros((0, 2))
-        for name, parts in chunks.items()
+    return TaskMeasurement(durations, _merge_tasks(results, scenario))
+
+
+def _merge_tasks(results: list[dict[str, np.ndarray]], scenario: Scenario) -> dict:
+    """Per-type :func:`merge_positions` of device-task results (device order)."""
+    return {
+        ct.name: merge_positions(res[ct.name] for res in results if ct.name in res)
+        for ct in scenario.charger_types
     }
-    return TaskMeasurement(durations, positions)
 
 
 def assign_tasks(durations: np.ndarray, machines: int) -> Schedule:
@@ -174,10 +172,7 @@ _WORKER_GEN: CandidateGenerator | None = None
 
 
 def _pool_init(
-    scenario: Scenario,
-    eps: float,
-    max_positions: int | None = None,
-    backend: str | None = None,
+    scenario: Scenario, eps: float, max_positions: int | None, backend: str | None
 ) -> None:
     global _WORKER_GEN
     # Workers compute on the same backend the parent solve resolved, so
@@ -204,9 +199,7 @@ def extraction_pool(
     worker-side state matches the caller's generator; note the
     ``max_positions`` cap itself is applied by the *parent* after gathering
     (per-task subsampling would not equal the serial global subsample).
-    Custom :class:`CandidateGenerator` *subclasses* cannot be reproduced in
-    workers and must not be pooled — ``build_candidate_set`` guards this by
-    falling back to the in-process path.
+    :class:`CandidateGenerator` *subclasses* cannot be rebuilt in workers.
     """
     return ProcessPoolExecutor(
         max_workers=workers,
@@ -216,15 +209,7 @@ def extraction_pool(
 
 
 def _positions_task(i: int) -> dict[str, np.ndarray]:
-    gen = _WORKER_GEN
-    out: dict[str, np.ndarray] = {}
-    for ct in gen.scenario.charger_types:
-        if gen.scenario.budgets.get(ct.name, 0) == 0:
-            continue
-        pts = gen.positions_for_task(ct, i)
-        if len(pts):
-            out[ct.name] = pts
-    return out
+    return _WORKER_GEN.device_task(i)
 
 
 def _sweep_task(args: tuple[str, np.ndarray]):
@@ -247,64 +232,18 @@ def _sweep_task(args: tuple[str, np.ndarray]):
     return records, sweep_s, task_metrics.snapshot()
 
 
-def _gather_positions(results, scenario: Scenario) -> dict[str, np.ndarray]:
-    chunks: dict[str, list[np.ndarray]] = {ct.name: [] for ct in scenario.charger_types}
-    for res in results:
-        for name, pts in res.items():
-            chunks[name].append(pts)
-    return {
-        name: dedupe_points(np.vstack(parts)) if parts else np.zeros((0, 2))
-        for name, parts in chunks.items()
-    }
-
-
 def positions_by_type_pooled(
     pool: ProcessPoolExecutor, scenario: Scenario, *, cancel=None
 ) -> dict[str, np.ndarray]:
     """All candidate positions per type, using an :func:`extraction_pool`.
 
-    Task order (device index ascending) matches the serial
-    :meth:`CandidateGenerator.positions` chunk order, so the deduplicated
-    result is *identical* to the serial one, not just set-equal.  The
-    *cancel* token is polled as task results stream back.
+    The device tasks stream back in device order, the order
+    :meth:`CandidateGenerator.positions` merges them in, so the result is
+    array-equal to the serial one (before any ``max_positions`` cap, which
+    the caller applies).  The *cancel* token is polled as results arrive.
     """
-    n = scenario.num_devices
-    if n == 0:
-        return {ct.name: np.zeros((0, 2)) for ct in scenario.charger_types}
     results = []
-    for res in pool.map(_positions_task, range(n)):
+    for res in pool.map(_positions_task, range(scenario.num_devices)):
         check_cancel(cancel)
         results.append(res)
-    return _gather_positions(results, scenario)
-
-
-def parallel_positions_by_type(
-    scenario: Scenario, *, eps: float = 0.15, workers: int | None = None, cancel=None
-) -> dict[str, np.ndarray]:
-    """Real multi-process extraction of all candidate positions.
-
-    The result equals the serial :meth:`CandidateGenerator.positions` per
-    type.  Worker count defaults to the CPU count capped by the number of
-    tasks.  With ``workers <= 1`` the tasks run in-process against a single
-    generator (no pickling at all).
-    """
-    n = scenario.num_devices
-    if n == 0:
-        return {ct.name: np.zeros((0, 2)) for ct in scenario.charger_types}
-    workers = workers or min(n, os.cpu_count() or 1)
-    if workers <= 1:
-        gen = CandidateGenerator(scenario, eps=eps)
-        results = []
-        for i in range(n):
-            check_cancel(cancel)
-            out: dict[str, np.ndarray] = {}
-            for ct in scenario.charger_types:
-                if scenario.budgets.get(ct.name, 0) == 0:
-                    continue
-                pts = gen.positions_for_task(ct, i)
-                if len(pts):
-                    out[ct.name] = pts
-            results.append(out)
-        return _gather_positions(results, scenario)
-    with extraction_pool(scenario, eps, workers) as pool:
-        return positions_by_type_pooled(pool, scenario, cancel=cancel)
+    return _merge_tasks(results, scenario)

@@ -19,7 +19,8 @@ with the exact power law.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .distributed import (
     extraction_pool,
     positions_by_type_pooled,
 )
-from .pdcs import SweptCandidate, sweep_orientations, sweep_position_batch
+from .pdcs import SweptCandidate, sweep_position_batch
 from .reuse import CandidateSetCache, active_candidate_cache, extraction_cache_key
 
 __all__ = [
@@ -115,15 +116,7 @@ class PhaseTimings:
 
     def as_dict(self) -> dict:
         """Machine-readable form (``repro solve --timings --json``)."""
-        return {
-            "extraction_seconds": self.extraction_seconds,
-            "sweep_seconds": self.sweep_seconds,
-            "dedupe_seconds": self.dedupe_seconds,
-            "selection_seconds": self.selection_seconds,
-            "num_positions": self.num_positions,
-            "num_candidates": self.num_candidates,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     def format(self) -> str:
         """One-line summary (printed by ``repro solve --timings``)."""
@@ -168,8 +161,6 @@ class HIPOSolution:
     approx_utility: float  # objective under P̃ (what the greedy maximized)
     candidate_set: CandidateSet | None
     greedy: GreedyResult | None
-    extraction_seconds: float = 0.0
-    selection_seconds: float = 0.0
     timings: PhaseTimings | None = None
     trace: Tracer | None = None
     metrics: MetricsSnapshot | None = None
@@ -183,16 +174,15 @@ class HIPOSolution:
         return render_run_report(self.trace, self.metrics)
 
 
-#: Positions per batched-sweep task; bounds both worker payload size and the
-#: peak (positions × devices) intermediates of the batched kernels.  The
-#: default comes from sweeping chunk sizes on the BENCH_1 scenario
-#: (``benchmarks/bench_backends.py --chunk-sweep``; the
-#: ``extraction.sweep_chunk_seconds`` histogram makes per-chunk cost
-#: observable): 128–512 are within run-to-run noise of each other, with 128
-#: showing the best mean across repeated sweeps (``chunk_sweep`` in
-#: ``BENCH_3.json``); 64 pays too much per-chunk batch setup, and ≥1024
-#: trends slower as the ``(positions × devices)`` intermediates outgrow
-#: cache.
+#: Positions per sweep task; bounds both worker payload size and the peak
+#: (positions × devices) intermediates of the batched kernels.  The default
+#: comes from sweeping chunk sizes on the BENCH_1 scenario
+#: (``benchmarks/bench_backends.py``; the ``extraction.sweep_chunk_seconds``
+#: histogram makes per-chunk cost observable): 128–512 are within
+#: run-to-run noise of each other, with 128 showing the best mean across
+#: repeated sweeps (``chunk_sweep`` in ``BENCH_3.json``); 64 pays too much
+#: per-chunk batch setup, and ≥1024 trends slower as the intermediates
+#: outgrow cache.
 DEFAULT_EXTRACTION_CHUNK = 128
 
 
@@ -203,7 +193,6 @@ def build_candidate_set(
     generator: CandidateGenerator | None = None,
     positions_by_type: dict[str, np.ndarray] | None = None,
     workers: int | None = None,
-    batched: bool = True,
     extraction_chunk_size: int | None = None,
     backend: str | None = None,
     tracer: Tracer | None = None,
@@ -223,25 +212,26 @@ def build_candidate_set(
     (whether the sweeps actually ran in the pool).
 
     *cancel* is a cooperative cancellation token (``is_set() -> bool``,
-    e.g. ``threading.Event``) polled between per-device position tasks and
-    between sweep chunks; when it fires the build raises
+    e.g. ``threading.Event``) polled between position tasks and between
+    sweep chunks; when it fires the build raises
     :class:`~repro.core.distributed.SolveCancelled`.
 
     *positions_by_type* overrides the geometric candidate positions (used by
     the grid baselines, the distributed extractor and the ablation benches) —
     the PDCS orientation sweep is still applied at each given position.
 
-    ``workers > 1`` fans the work out over a :func:`extraction_pool` whose
-    workers receive the scenario once (pool initializer): the per-device
-    position tasks of Algorithm 4 and the chunked PDCS sweeps both run in the
-    pool.  The pool ships the generator's approximation parameters (``eps``,
-    ``max_positions``), so a plain :class:`CandidateGenerator` with custom
-    parameters pools correctly; a *subclassed* generator cannot be rebuilt in
-    workers, so both pooled phases fall back to the in-process path for it
-    (correctness over parallelism).  ``batched=False`` keeps the legacy
-    one-position-at-a-time kernels (benchmark reference).  Serial, batched
-    and multi-worker paths produce identical candidate sets in identical
-    order.
+    There is one path: the positions of every active type are cut into
+    ``(type, position chunk)`` sweep tasks, run by
+    :func:`~repro.core.pdcs.sweep_position_batch` and deduplicated in task
+    order.  ``workers > 1`` runs the same tasks — and, before them, the
+    per-device position tasks of Algorithm 4 — on one
+    :func:`extraction_pool` whose workers receive the scenario once (pool
+    initializer).  The pool ships the generator's approximation parameters
+    (``eps``, ``max_positions``), so a plain :class:`CandidateGenerator`
+    with custom parameters pools correctly; a *subclassed* generator cannot
+    be rebuilt in workers, so it runs in-process whatever *workers* says
+    (correctness over parallelism).  Either way the candidate sets are
+    identical, in identical order.
 
     Observability: the phases run inside ``extraction`` → ``positions`` /
     ``sweeps`` spans on *tracer* (a private tracer is created when none is
@@ -253,7 +243,6 @@ def build_candidate_set(
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
     gen = generator if generator is not None else CandidateGenerator(scenario, eps=eps)
-    plain_generator = generator is None or type(generator) is CandidateGenerator
     ev = scenario.evaluator()
     approx = gen.approx
     strategies: list[Strategy] = []
@@ -264,9 +253,11 @@ def build_candidate_set(
     seen: set[bytes] = set()
     positions_per_type: dict[str, int] = {}
     capacities = [int(scenario.budgets.get(ct.name, 0)) for ct in scenario.charger_types]
+    active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
     nworkers = max(1, int(workers or 1))
     # A subclassed generator cannot be rebuilt in workers: run in-process.
-    use_pool = nworkers > 1 and plain_generator
+    plain_generator = generator is None or type(generator) is CandidateGenerator
+    use_pool = nworkers > 1 and plain_generator and bool(active)
     chunk = DEFAULT_EXTRACTION_CHUNK if extraction_chunk_size is None else int(extraction_chunk_size)
     if chunk < 1:
         raise ValueError(f"extraction chunk size must be positive, got {chunk}")
@@ -276,13 +267,11 @@ def build_candidate_set(
     def absorb(q: int, ct, records: list[SweptCandidate]) -> None:
         """Dedupe swept candidates and stash their compact rows (timed).
 
-        The dedupe key is a single bytes object (type index, covered
-        indices, rounded approx powers) hashed once on set insertion —
-        unambiguous because the two arrays always have equal length.  Full
-        power rows are NOT materialized here; the compact (indices, values)
-        pairs are scattered into two preallocated matrices once, after all
-        sweeps (cheaper than two fresh full-width zero rows per candidate
-        plus a final vstack).
+        The key is one bytes object (type index, covered indices, rounded
+        approx powers; unambiguous as both arrays have equal length).  The
+        compact (indices, values) rows are scattered into the two power
+        matrices once, after all sweeps (cheaper than a full-width zero row
+        per candidate plus a final vstack).
         """
         nonlocal dedupe_s
         t0 = time.perf_counter()
@@ -304,33 +293,29 @@ def build_candidate_set(
         mreg.inc("extraction.candidates", kept)
         mreg.inc("extraction.duplicates", len(records) - kept)
 
-    active = [(q, ct) for q, ct in enumerate(scenario.charger_types) if capacities[q] > 0]
     with use_backend(backend) as bk, trace.span(
         "extraction", workers=nworkers, backend=bk.name
     ) as ext_sp:
-        pool = None
-        try:
+        pool_cm = (
+            extraction_pool(
+                scenario, gen.eps, nworkers, max_positions=gen.max_positions, backend=bk.name
+            )
+            if use_pool
+            else nullcontext()
+        )
+        with pool_cm as pool:
             # Phase 1: candidate positions per charger type.
-            pos_map: dict[str, np.ndarray] = {}
             with trace.span("positions") as pos_sp:
+                pos_map: dict[str, np.ndarray] = {}
                 if positions_by_type is not None:
                     for q, ct in active:
                         pos_map[ct.name] = np.asarray(
                             positions_by_type.get(ct.name, np.zeros((0, 2))), dtype=float
                         )
-                elif use_pool and active:
-                    pool = extraction_pool(
-                        scenario,
-                        gen.eps,
-                        nworkers,
-                        max_positions=gen.max_positions,
-                        backend=bk.name,
-                    )
-                    pooled = positions_by_type_pooled(pool, scenario, cancel=cancel)
+                elif pool is not None:
+                    gathered = positions_by_type_pooled(pool, scenario, cancel=cancel)
                     for q, ct in active:
-                        pos_map[ct.name] = gen.apply_position_cap(
-                            pooled.get(ct.name, np.zeros((0, 2)))
-                        )
+                        pos_map[ct.name] = gen.apply_position_cap(gathered[ct.name])
                 else:
                     for q, ct in active:
                         check_cancel(cancel)
@@ -340,78 +325,34 @@ def build_candidate_set(
                     mreg.inc("extraction.positions", len(pos_map[ct.name]))
                 pos_sp.set(positions=sum(positions_per_type.values()))
 
-            # Phase 2: PDCS sweeps (batched / pooled / legacy) + dedupe.
-            sweeps_pooled = False
-            with trace.span("sweeps", batched=batched, chunk_size=chunk) as sw_sp:
-                if not batched:
-                    for q, ct in active:
-                        positions = pos_map[ct.name]
-                        a_vec, b_vec = ev.coefficients(ct)
-                        mreg.inc("extraction.positions_swept", len(positions))
-                        for pos in positions:
-                            check_cancel(cancel)
-                            mask, dists, bearings = ev.coverable(ct, pos)
-                            t0 = time.perf_counter()
-                            point_strats = sweep_orientations(ct, mask, bearings)
-                            sweep_s += time.perf_counter() - t0
-                            if not point_strats:
-                                continue
-                            approx_full = approx.approx_powers(ct, dists)
-                            exact_full = bk.power_fill(a_vec, b_vec, dists)
-                            records = [
-                                SweptCandidate(
-                                    (float(pos[0]), float(pos[1])),
-                                    ps.orientation,
-                                    ps.covered,
-                                    approx_full[np.asarray(ps.covered, dtype=int)],
-                                    exact_full[np.asarray(ps.covered, dtype=int)],
-                                )
-                                for ps in point_strats
-                            ]
-                            mreg.inc("extraction.candidates_raw", len(records))
-                            absorb(q, ct, records)
+            # Phase 2: PDCS sweeps over (type, position chunk) tasks + dedupe.
+            tasks = [
+                (q, ct, pos_map[ct.name][lo : lo + chunk])
+                for q, ct in active
+                for lo in range(0, len(pos_map[ct.name]), chunk)
+            ]
+            pooled = pool is not None and bool(tasks)
+            with trace.span("sweeps", chunk_size=chunk) as sw_sp:
+                if pooled:
+                    results = pool.map(_sweep_task, [(ct.name, pts) for _, ct, pts in tasks])
                 else:
-                    tasks: list[tuple[str, np.ndarray]] = []
-                    task_meta: list[tuple[int, object]] = []
-                    for q, ct in active:
-                        positions = pos_map[ct.name]
-                        for lo in range(0, len(positions), chunk):
-                            tasks.append((ct.name, positions[lo : lo + chunk]))
-                            task_meta.append((q, ct))
-                    sweeps_pooled = use_pool and bool(tasks)
-                    if sweeps_pooled:
-                        if pool is None:
-                            pool = extraction_pool(
-                                scenario,
-                                gen.eps,
-                                nworkers,
-                                max_positions=gen.max_positions,
-                                backend=bk.name,
-                            )
-                        for (q, ct), (records, task_sweep_s, snap) in zip(
-                            task_meta, pool.map(_sweep_task, tasks)
-                        ):
-                            check_cancel(cancel)
-                            sweep_s += task_sweep_s
-                            mreg.merge(snap)
-                            absorb(q, ct, records)
-                    else:
-                        for (q, ct), task in zip(task_meta, tasks):
-                            check_cancel(cancel)
-                            records, task_sweep_s = sweep_position_batch(
-                                ev, approx, ct, task[1], metrics=mreg
-                            )
-                            sweep_s += task_sweep_s
-                            absorb(q, ct, records)
+                    # In-process chunks feed *mreg* directly: no snapshot to merge.
+                    results = (
+                        (*sweep_position_batch(ev, approx, ct, pts, metrics=mreg), None)
+                        for _, ct, pts in tasks
+                    )
+                for (q, ct, _), (records, task_sweep_s, snap) in zip(tasks, results):
+                    check_cancel(cancel)
+                    sweep_s += task_sweep_s
+                    if snap is not None:
+                        mreg.merge(snap)
+                    absorb(q, ct, records)
                 sw_sp.set(
-                    pooled=sweeps_pooled,
+                    pooled=pooled,
                     sweep_seconds=round(sweep_s, 6),
                     dedupe_seconds=round(dedupe_s, 6),
                     candidates=len(strategies),
                 )
-        finally:
-            if pool is not None:
-                pool.shutdown()
         ext_sp.set(
             sweep_seconds=sweep_s,
             dedupe_seconds=dedupe_s,
@@ -495,7 +436,6 @@ def solve_hipo(
     positions_by_type: dict[str, np.ndarray] | None = None,
     keep_candidates: bool = False,
     workers: int | None = None,
-    batched: bool = True,
     backend: str | None = None,
     candidate_cache: CandidateSetCache | None = None,
     tracer: Tracer | None = None,
@@ -539,15 +479,15 @@ def solve_hipo(
     """
     trace = tracer if tracer is not None else Tracer()
     mreg = metrics if metrics is not None else MetricsRegistry()
+    nworkers = max(1, int(workers or 1))
     with use_backend(backend) as bk, trace.span(
         "solve",
         devices=scenario.num_devices,
         chargers=scenario.num_chargers,
         eps=eps,
-        workers=max(1, int(workers or 1)),
+        workers=nworkers,
         backend=bk.name,
     ) as root_sp:
-        t0 = time.perf_counter()
         cache = candidate_cache if candidate_cache is not None else active_candidate_cache()
         cache_key: str | None = None
         candidates = None
@@ -555,9 +495,7 @@ def solve_hipo(
             cache_key = extraction_cache_key(scenario, eps=eps, generator=generator)
             candidates = cache.get(cache_key, scenario)
         if candidates is not None:
-            with trace.span(
-                "extraction", workers=max(1, int(workers or 1)), cached=True, backend=bk.name
-            ) as ext_sp:
+            with trace.span("extraction", workers=nworkers, cached=True, backend=bk.name) as ext_sp:
                 ext_sp.set(
                     positions=sum(candidates.positions_per_type.values()),
                     candidates=candidates.num_candidates,
@@ -570,14 +508,12 @@ def solve_hipo(
                 generator=generator,
                 positions_by_type=positions_by_type,
                 workers=workers,
-                batched=batched,
                 tracer=trace,
                 metrics=mreg,
                 cancel=cancel,
             )
             if cache is not None and cache_key is not None:
                 cache.put(cache_key, candidates)
-        t1 = time.perf_counter()
         check_cancel(cancel)
         with trace.span("selection", candidates=candidates.num_candidates, lazy=lazy) as sel_sp:
             strategies, greedy = select_strategies(
@@ -590,14 +526,9 @@ def solve_hipo(
                 metrics=mreg,
             )
             sel_sp.set(selected=len(strategies), evaluations=greedy.evaluations)
-        t2 = time.perf_counter()
         ev = scenario.evaluator()
-        if greedy.indices:
-            exact_total = candidates.exact_power[greedy.indices].sum(axis=0)
-            approx_total = candidates.approx_power[greedy.indices].sum(axis=0)
-        else:
-            exact_total = np.zeros(ev.num_devices)
-            approx_total = np.zeros(ev.num_devices)
+        exact_total = candidates.exact_power[greedy.indices].sum(axis=0)
+        approx_total = candidates.approx_power[greedy.indices].sum(axis=0)
         utility = total_utility(exact_total, ev.thresholds)
         root_sp.set(utility=round(float(utility), 6), selected=len(strategies))
     mreg.record_peak_rss()
@@ -610,8 +541,6 @@ def solve_hipo(
         approx_utility=total_utility(approx_total, ev.thresholds),
         candidate_set=candidates if keep_candidates else None,
         greedy=greedy,
-        extraction_seconds=t1 - t0,
-        selection_seconds=t2 - t1,
         timings=timings,
         trace=trace,
         metrics=mreg.snapshot(),
@@ -658,15 +587,4 @@ def solve_hipo_hardened(
     strategies = [
         Strategy(s.position, s.orientation, true_types[s.ctype.name]) for s in inner.strategies
     ]
-    return HIPOSolution(
-        strategies=strategies,
-        utility=scenario.utility_of(strategies),
-        approx_utility=inner.approx_utility,
-        candidate_set=inner.candidate_set,
-        greedy=inner.greedy,
-        extraction_seconds=inner.extraction_seconds,
-        selection_seconds=inner.selection_seconds,
-        timings=inner.timings,
-        trace=inner.trace,
-        metrics=inner.metrics,
-    )
+    return replace(inner, strategies=strategies, utility=scenario.utility_of(strategies))

@@ -50,8 +50,8 @@ def visible_mask(p: Sequence[float], targets: np.ndarray, obstacles: Sequence[Po
     obstacle edges is a single ``(targets × edges)`` numpy broadcast per
     obstacle, with a bounding-box prefilter.  Semantics match
     :meth:`Polygon.blocks_segment`: a segment is blocked if it properly
-    crosses an edge or its midpoint lies strictly inside (degenerate
-    boundary-grazing midpoints use parity only — a measure-zero difference).
+    crosses an edge or, split at the polygon vertices it passes through, a
+    sub-interval not lying along an edge has its midpoint inside (parity).
     """
     pts = np.asarray(targets, dtype=float)
     n = len(pts)

@@ -20,9 +20,9 @@ The five shipped invariants:
   :func:`~repro.opt.submodular.exhaustive_best`);
 * ``warm_cold``        — solving through a cold-then-warm candidate cache
   (PR 5) is byte-identical to solving with no cache at all;
-* ``cross_impl``       — the ``numpy`` and ``pyloop`` backends, and the
-  batched vs legacy per-position sweep paths, produce byte-identical
-  placements and utilities.
+* ``cross_impl``       — the ``numpy`` and ``pyloop`` backends produce
+  byte-identical placements and utilities, and the batched sweep's
+  candidate records equal Algorithm 1 run one position at a time.
 
 The solver is injectable through :class:`InvariantContext` so the test
 suite can plant a deliberately buggy shim and confirm the harness catches,
@@ -36,6 +36,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..backend import active_backend
+from ..core.candidates import CandidateGenerator
+from ..core.pdcs import extract_pdcs_at_point, sweep_position_batch
 from ..core.placement import HIPOSolution, solve_hipo
 from ..core.reuse import CandidateSetCache
 from ..geometry import rectangle
@@ -222,20 +225,56 @@ def warm_cold(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolati
     return None
 
 
+def _scalar_records(scenario: Scenario, approx, ctype, positions: np.ndarray) -> list[tuple]:
+    """Algorithm 1 one position at a time: the oracle for the batched sweep."""
+    ev = scenario.evaluator()
+    a_vec, b_vec = ev.coefficients(ctype)
+    out = []
+    for p in positions:
+        pos = (float(p[0]), float(p[1]))
+        dists = ev.coverable(ctype, pos)[1]
+        approx_full = approx.approx_powers(ctype, dists)
+        exact_full = active_backend().power_fill(a_vec, b_vec, dists)
+        for ps in extract_pdcs_at_point(ev, ctype, pos):
+            cov = list(ps.covered)
+            rows = (approx_full[cov].tobytes(), exact_full[cov].tobytes())
+            out.append((pos, ps.orientation, ps.covered, *rows))
+    return out
+
+
 def cross_impl(varied: VariedScenario, ctx: InvariantContext) -> InvariantViolation | None:
-    """numpy vs pyloop backends and batched vs legacy sweeps must agree."""
+    """Batched sweep records equal the per-position scalar records for
+    every active charger type, and numpy vs pyloop placements agree."""
     s = varied.scenario
+    # Each side gets its own evaluator, so no line-of-sight rows are shared
+    # (between the record sides here, and between the two solves below).
+    gen = CandidateGenerator(replace(s, _evaluator_cache=[]), eps=ctx.eps)
+    for ct in s.charger_types:
+        if s.budgets.get(ct.name, 0) <= 0:
+            continue
+        positions = gen.positions(ct)
+        records, _ = sweep_position_batch(gen.evaluator, gen.approx, ct, positions)
+        got = [
+            (r.position, r.orientation, r.covered, r.approx_powers.tobytes(), r.exact_powers.tobytes())
+            for r in records
+        ]
+        want = _scalar_records(replace(s, _evaluator_cache=[]), gen.approx, ct, positions)
+        if got != want:
+            return InvariantViolation(
+                "cross_impl",
+                "batched sweep records differ from the per-position Algorithm 1",
+                {"charger_type": ct.name, "batched": len(got), "scalar": len(want)},
+            )
     solutions = {
         "numpy": ctx.solve(s, backend="numpy"),
-        "pyloop": ctx.solve(s, backend="pyloop"),
-        "numpy-unbatched": ctx.solve(s, backend="numpy", batched=False),
+        "pyloop": ctx.solve(replace(s, _evaluator_cache=[]), backend="pyloop"),
     }
     keys = {name: _placement_key(sol) for name, sol in solutions.items()}
     utils = {name: float(sol.approx_utility) for name, sol in solutions.items()}
     if len(set(keys.values())) != 1 or len(set(utils.values())) != 1:
         return InvariantViolation(
             "cross_impl",
-            "backends/sweep paths disagreed on the placement",
+            "backends disagreed on the placement",
             {"placements_equal": len(set(keys.values())) == 1, "approx_utilities": utils},
         )
     return None

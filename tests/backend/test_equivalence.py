@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from backend_testlib import numpy_backend, solve_scenario  # noqa: F401  (fixture)
@@ -71,6 +71,18 @@ def assert_bits_equal(expected: np.ndarray, got: np.ndarray, label: str) -> None
 @given(
     segs=st.lists(st.tuples(point, point), min_size=1, max_size=12),
     poly=obstacle,
+)
+# Corner-to-corner diagonals and stretches along an edge, refined at
+# their vertex touches.
+@example(
+    segs=[
+        ((1.0, 1.0), (8.0, 8.0)),
+        ((0.0, 0.0), (9.0, 9.0)),
+        ((9.0, 9.0), (0.0, 0.0)),
+        ((-0.5, 2.0), (3.5, 2.0)),
+        ((2.0, 2.5), (2.0, 4.0)),
+    ],
+    poly=rectangle(2.0, 2.0, 4.5, 4.5),
 )
 def test_blocked_segments_bitwise_equal(numpy_backend, alt, segs, poly):
     starts = np.array([s for s, _ in segs], dtype=float)

@@ -6,11 +6,12 @@ import pytest
 from repro.core import (
     CandidateGenerator,
     assign_tasks,
+    build_candidate_set,
+    extraction_pool,
     measure_task_costs,
-    parallel_positions_by_type,
+    positions_by_type_pooled,
     simulate_distributed_times,
 )
-from repro.geometry import dedupe_points
 
 from conftest import simple_scenario
 
@@ -38,10 +39,8 @@ def test_task_union_equals_serial_positions():
     ct = sc.charger_types[0]
     serial = gen.positions(ct)
     meas = measure_task_costs(sc)
-    parallel = meas.positions_by_type["ct"]
-    a = {tuple(np.round(p, 6)) for p in serial}
-    b = {tuple(np.round(p, 6)) for p in parallel}
-    assert a == b
+    # Same array, not just the same point set: tasks merge in device order.
+    assert np.array_equal(meas.positions_by_type["ct"], serial)
 
 
 def test_assign_tasks_one_per_machine_when_enough():
@@ -70,42 +69,41 @@ def test_simulate_distributed_times_monotone():
 
 
 def test_parallel_positions_match_serial_workers1():
+    """A one-worker extraction pool reproduces the serial positions."""
     sc = scenario()
-    gen = CandidateGenerator(sc)
-    serial = gen.positions(sc.charger_types[0])
-    par = parallel_positions_by_type(sc, workers=1)["ct"]
-    a = {tuple(np.round(p, 6)) for p in serial}
-    b = {tuple(np.round(p, 6)) for p in par}
-    assert a == b
+    serial = CandidateGenerator(sc).positions(sc.charger_types[0])
+    with extraction_pool(sc, 0.15, 1) as pool:
+        pooled = positions_by_type_pooled(pool, sc)["ct"]
+    assert np.array_equal(pooled, serial)
 
 
 @pytest.mark.slow
-def test_parallel_positions_with_process_pool():
+def test_pooled_positions_equal_serial_positions():
     sc = scenario()
-    par = parallel_positions_by_type(sc, workers=2)["ct"]
     serial = CandidateGenerator(sc).positions(sc.charger_types[0])
-    a = {tuple(np.round(p, 6)) for p in serial}
-    b = {tuple(np.round(p, 6)) for p in par}
-    assert a == b
+    with extraction_pool(sc, 0.15, 2) as pool:
+        pooled = positions_by_type_pooled(pool, sc)["ct"]
+    assert np.array_equal(pooled, serial)
 
 
-def test_parallel_positions_empty_scenario():
+def test_pooled_positions_empty_scenario():
     sc = simple_scenario([(4.0, 4.0)]).with_devices([])
-    out = parallel_positions_by_type(sc, workers=1)
+    with extraction_pool(sc, 0.15, 2) as pool:
+        out = positions_by_type_pooled(pool, sc)
     assert out["ct"].shape == (0, 2)
 
 
 def test_cancel_token_stops_measurement():
     import threading
 
-    from repro.core import SolveCancelled, check_cancel, measure_task_costs
+    from repro.core import SolveCancelled, check_cancel
 
     cancel = threading.Event()
     cancel.set()
     with pytest.raises(SolveCancelled):
         measure_task_costs(scenario(), cancel=cancel)
     with pytest.raises(SolveCancelled):
-        parallel_positions_by_type(scenario(), workers=1, cancel=cancel)
+        build_candidate_set(scenario(), workers=2, cancel=cancel)
     # A None token (the default) never fires.
     check_cancel(None)
     check_cancel(threading.Event())

@@ -1,9 +1,10 @@
-"""Equivalence and determinism of the batched / multi-worker extraction.
+"""Equivalence and determinism of the in-process / multi-worker extraction.
 
-The tentpole guarantee: the legacy one-position-at-a-time path, the batched
-kernels and the process-pool fan-out all produce *identical* candidate sets
-(same strategies in the same order), hence identical greedy selections and
-utilities.
+The guarantee: the batched sweep equals Algorithm 1 run one position at a
+time (the ``cross_impl`` scalar oracle), and the in-process and
+process-pool runs of the one extraction path produce *identical* candidate
+sets (same strategies in the same order), hence identical greedy
+selections and utilities.
 """
 
 import numpy as np
@@ -11,6 +12,13 @@ import pytest
 
 from repro.core import CandidateGenerator, build_candidate_set, solve_hipo
 from repro.geometry import rectangle
+from repro.variation import (
+    InvariantContext,
+    VariedScenario,
+    check_invariant,
+    family_names,
+    get_family,
+)
 
 from conftest import simple_scenario
 
@@ -39,12 +47,19 @@ def assert_candidate_sets_identical(a, b):
     ]
 
 
-@pytest.mark.parametrize("make", [scenario_no_obstacles, scenario_with_obstacles])
-def test_batched_matches_legacy(make):
-    sc = make()
-    legacy = build_candidate_set(sc, batched=False)
-    batched = build_candidate_set(sc, batched=True)
-    assert_candidate_sets_identical(legacy, batched)
+def _fixed(make):
+    return VariedScenario(make.__name__, {}, 0, make())
+
+
+@pytest.mark.parametrize(
+    "varied",
+    [_fixed(scenario_no_obstacles), _fixed(scenario_with_obstacles)]
+    + [get_family(name).build(seed=1) for name in family_names()],
+    ids=lambda v: v.family,
+)
+def test_cross_impl_scalar_oracle(varied):
+    """Batched sweep records == per-position Algorithm 1, and numpy == pyloop."""
+    assert check_invariant("cross_impl", varied, InvariantContext(eps=0.4)) is None
 
 
 @pytest.mark.parametrize("make", [scenario_no_obstacles, scenario_with_obstacles])

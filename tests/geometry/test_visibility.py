@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import (
     Polygon,
@@ -26,6 +26,26 @@ def test_line_of_sight_blocked_and_clear():
     assert line_of_sight((0, 0), (1, 1), obs)
 
 
+def test_corner_to_corner_diagonal_is_blocked():
+    obs = [rectangle(2, 2, 4.5, 4.5)]
+    for p, q in (((1, 1), (8, 8)), ((0, 0), (9, 9)), ((9, 9), (0, 0))):
+        assert not line_of_sight(p, q, obs)
+        one = np.array([q], dtype=float)
+        assert not visible_mask(p, one, obs)[0]
+        assert not visible_mask_many(np.array([p], dtype=float), one, obs)[0, 0]
+
+
+def test_segment_along_an_edge_is_visible():
+    # Sliding along the boundary never meets the interior, with or without
+    # a vertex inside the segment.
+    obs = [rectangle(2, 2, 4.5, 4.5)]
+    for p, q in (((-0.5, 2), (3.5, 2)), ((2, 2.5), (2, 4)), ((2, 0.5), (2, 5.5))):
+        assert line_of_sight(p, q, obs)
+        one = np.array([q], dtype=float)
+        assert visible_mask(p, one, obs)[0]
+        assert visible_mask_many(np.array([p], dtype=float), one, obs)[0, 0]
+
+
 def test_line_of_sight_no_obstacles():
     assert line_of_sight((0, 0), (100, 100), [])
 
@@ -43,6 +63,13 @@ def test_visible_mask_empty_targets():
 
 @settings(max_examples=60)
 @given(coords, coords, st.lists(st.tuples(coords, coords), min_size=1, max_size=12))
+# Diagonals through two opposite corners of the rectangle: no edge is
+# properly crossed and the whole-segment midpoint is on the boundary.
+@example(1.0, 1.0, [(8.0, 8.0)])
+@example(0.0, 0.0, [(9.0, 9.0)])
+@example(9.0, 9.0, [(0.0, 0.0)])
+# Along the rectangle's left edge, through both of its vertices.
+@example(2.0, 0.5, [(2.0, 5.5)])
 def test_visible_mask_matches_scalar_path(px, py, targets):
     obs = [rectangle(2.0, 2.0, 4.5, 4.5), Polygon([(6.0, 1.0), (8.5, 2.0), (7.0, 4.0)])]
     pts = np.array(targets, dtype=float)

@@ -86,8 +86,8 @@ def test_hipo_solution_timing_fields():
 
     sc = simple_scenario([(10.0, 10.0)])
     sol = solve_hipo(sc)
-    assert sol.extraction_seconds >= 0.0
-    assert sol.selection_seconds >= 0.0
+    assert sol.timings.extraction_seconds >= 0.0
+    assert sol.timings.selection_seconds >= 0.0
 
 
 def test_boundary_curves_extend():
